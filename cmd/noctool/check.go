@@ -18,8 +18,8 @@ import (
 // non-zero with a replayable counterexample trace on any violation.
 func runCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	w := fs.Int("w", 2, "grid width")
-	h := fs.Int("h", 2, "grid height")
+	w := fs.Int("width", 2, "grid width")
+	h := fs.Int("height", 2, "grid height")
 	topoFlag := fs.String("topo", "mesh", "topology family: mesh or torus (a torus sweep includes every wrap link)")
 	maxStates := fs.Int("max-states", 1<<22, "distinct-state cap per scenario")
 	maxDepth := fs.Int("max-depth", 4096, "transition-depth cap per scenario")

@@ -82,3 +82,16 @@ func TestRetxTimeoutRejectsNegative(t *testing.T) {
 		t.Fatalf("parsing -retx-timeout -5: want invalid-value error, got %v", err)
 	}
 }
+
+// TestCheckFlagNames pins noctool check on the -width/-height names every
+// other command uses: the planted-deadlock self-test on the 2×2 mesh
+// parses them and runs, and the retired -w spelling is rejected.
+func TestCheckFlagNames(t *testing.T) {
+	if err := runCheck([]string{"-width", "2", "-height", "2", "-sabotage", "0"}); err != nil {
+		t.Fatalf("check -width 2 -height 2 -sabotage 0: %v", err)
+	}
+	err := runCheck([]string{"-w", "2"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -w") {
+		t.Fatalf("check -w 2: want an undefined-flag error, got %v", err)
+	}
+}

@@ -31,8 +31,7 @@ func runFlightrec(args []string) error {
 	if *replay != "" {
 		return replayFlightDumps(*replay)
 	}
-	o := obs.New(1) // counters + flight recorder; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0) // counters + flight recorder
 	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
 	if err != nil {
 		return err

@@ -29,8 +29,7 @@ func runHeatmap(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters + windows; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0) // counters + windows
 	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
 	if err != nil {
 		return err

@@ -153,7 +153,7 @@ commands:
   replay     replay a recorded trace (optionally with faults)
   check      exhaustively model-check a small mesh: prove deadlock
              freedom and full delivery for the fault-free network and
-             under every single link/router fault (-w/-h dimensions,
+             under every single link/router fault (-width/-height dimensions,
              -budget wall-clock bound, -mc N for sampled mode, -crossval
              for the reliability cross-check)
 
@@ -435,12 +435,10 @@ func runSimReady(args []string, onReady func(net.Addr)) error {
 		return err
 	}
 	// With telemetry on, the run is instrumented (counters plus the
-	// windowed link-utilization ring backing /heatmap — the trace ring
-	// stays minimal and disabled).
+	// windowed link-utilization ring backing /heatmap — no tracer).
 	var o *obs.Observer
 	if *telemetryAddr != "" {
-		o = obs.New(1)
-		o.Tracer.SetEnabled(false)
+		o = obs.New(0)
 		topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
 		if err != nil {
 			return err
@@ -523,8 +521,7 @@ func serveSim(args []string, onReady func(net.Addr), stop <-chan struct{}) error
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters + windows; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0) // counters + windows
 	topo, err := topology.New(*sf.topo, *sf.width, *sf.height, *sf.conc)
 	if err != nil {
 		return err
@@ -575,38 +572,46 @@ func serveSim(args []string, onReady func(net.Addr), stop <-chan struct{}) error
 	return nil
 }
 
+// runTraced builds the sim-flag network with a tracer of the given total
+// capacity and runs it, tracing only the measured window: warmup cycles
+// run untraced. cmd and missing name the command and what it loses when
+// the warmup covers the whole run, for the warning.
+func runTraced(sf *simFlags, events int, cmd, missing string) (*noc.Network, *obs.Observer, error) {
+	o := obs.New(events)
+	n, err := sf.build(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	warm, total := sim.Cycle(*sf.warmup), sim.Cycle(*sf.cycles)
+	if warm >= total {
+		fmt.Fprintf(os.Stderr, "noctool %s: warmup (%d) covers the whole run (%d cycles); "+
+			"%s — lower -warmup or raise -cycles\n", cmd, warm, total, missing)
+		warm = total
+	}
+	o.Tracer.SetEnabled(false)
+	n.Run(warm)
+	o.Tracer.SetEnabled(true)
+	n.Run(total - warm)
+	return n, o, nil
+}
+
 // runSpans runs an instrumented simulation and prints the per-packet
 // hop-span report: where the slowest packets spent their cycles, hop by
 // hop and pipeline phase by pipeline phase.
 func runSpans(args []string) error {
 	fs := flag.NewFlagSet("spans", flag.ContinueOnError)
 	sf := addSimFlags(fs)
-	events := fs.Int("events", 1<<20, "trace ring capacity; spans are built from retained events")
+	events := fs.Int("events", 1<<20, "total trace capacity, spread evenly over one lane per router; spans are built from retained events")
 	top := fs.Int("top", 5, "how many of the slowest packets to detail")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(*events)
-	n, err := sf.build(o)
+	// Spans of warmup packets would be excluded from latency stats anyway.
+	n, _, err := runTraced(sf, *events, "spans", "no spans will be complete")
 	if err != nil {
 		return err
 	}
 	defer n.Close()
-	// Trace only the measured window, like runTrace: spans of warmup
-	// packets would be excluded from latency stats anyway.
-	warm := sim.Cycle(*sf.warmup)
-	total := sim.Cycle(*sf.cycles)
-	if warm >= total {
-		fmt.Fprintf(os.Stderr, "noctool spans: warmup (%d) covers the whole run (%d cycles); "+
-			"no spans will be complete — lower -warmup or raise -cycles\n", warm, total)
-		warm = total
-	}
-	if warm > 0 {
-		o.Tracer.SetEnabled(false)
-		n.Run(warm)
-		o.Tracer.SetEnabled(true)
-	}
-	n.Run(total - warm)
 	fmt.Print(obs.FormatSpans(n.Spans(), *top))
 	return nil
 }
@@ -619,8 +624,7 @@ func runMetrics(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	o := obs.New(1) // counters only; keep the trace ring minimal
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0) // counters only
 	n, err := sf.build(o)
 	if err != nil {
 		return err
@@ -645,33 +649,18 @@ func runTrace(args []string) error {
 	sf := addSimFlags(fs)
 	out := fs.String("o", "trace.json", "output file")
 	format := fs.String("format", "chrome", "chrome (trace_event JSON) or jsonl (JSON Lines)")
-	events := fs.Int("events", 1<<20, "trace ring capacity; the most recent events are retained")
+	events := fs.Int("events", 1<<20, "total trace capacity, spread evenly over one lane per router; each router's most recent events are retained")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *format != "chrome" && *format != "jsonl" {
 		return fmt.Errorf("unknown format %q (want chrome or jsonl)", *format)
 	}
-	o := obs.New(*events)
-	n, err := sf.build(o)
+	n, o, err := runTraced(sf, *events, "trace", "pipeline events will be missing")
 	if err != nil {
 		return err
 	}
 	defer n.Close()
-	// Trace only the measured window: warmup cycles run untraced.
-	warm := sim.Cycle(*sf.warmup)
-	total := sim.Cycle(*sf.cycles)
-	if warm >= total {
-		fmt.Fprintf(os.Stderr, "noctool trace: warmup (%d) covers the whole run (%d cycles); "+
-			"pipeline events will be missing — lower -warmup or raise -cycles\n", warm, total)
-		warm = total
-	}
-	if warm > 0 {
-		o.Tracer.SetEnabled(false)
-		n.Run(warm)
-		o.Tracer.SetEnabled(true)
-	}
-	n.Run(total - warm)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -687,7 +676,7 @@ func runTrace(args []string) error {
 		return err
 	}
 	retained := o.Tracer.Total() - o.Tracer.Dropped()
-	fmt.Printf("wrote %d events to %s (%s format; %d emitted, %d dropped by ring wrap)\n",
+	fmt.Printf("wrote %d events to %s (%s format; %d emitted, %d dropped by lane wrap)\n",
 		retained, *out, *format, o.Tracer.Total(), o.Tracer.Dropped())
 	return nil
 }

@@ -13,8 +13,8 @@
 // The implementation lives under internal/, layered from primitives up
 // to experiments. Foundations:
 //
-//   - sim — the cycle kernel: the Cycle type, Ticker interface and the
-//     Kernel that advances registered components in deterministic order.
+//   - sim — the Cycle type, the time base every package stamps its
+//     state and events with (stepping itself lives in noc).
 //   - rng — splittable xoshiro256** streams; every random decision in
 //     the repository flows from an explicit seed.
 //   - flit — packets, flits and message classes (request/response), with
@@ -61,16 +61,15 @@
 //     -inject flag, and Monte-Carlo faults-to-failure campaigns.
 //   - watchdog — online detection: localizes stuck VCs to a suspected
 //     pipeline stage, the NoCAlert role of the paper's reference [18].
-//   - ecc — a SEC-DED Hamming codec modelling Vicis-style datapath
-//     protection for the comparison designs.
 //
 // Measurement and analysis:
 //
 //   - stats — packet-level latency/throughput collection with a warmup
 //     window excluded from measurement.
 //   - obs — the observability layer: a per-router/port/VC counter
-//     registry and a ring-buffered cycle-accurate event tracer with
-//     JSON-Lines and Chrome trace_event sinks. Disabled (nil) by
+//     registry, and one lock-free per-router event-lane store behind
+//     both the cycle-accurate event tracer (JSON-Lines and Chrome
+//     trace_event sinks) and the flight recorder. Disabled (nil) by
 //     default; when enabled via router.Config.Obs, the core pipeline,
 //     NIs, links, injectors and watchdog all report into it.
 //   - reliability — FORC/TDDB failure physics, the FIT library behind

@@ -29,7 +29,7 @@ func main() {
 	// tracer; attaching it to the router config instruments every router,
 	// link and network interface. A nil Obs (the default) keeps the
 	// simulator metrics-free.
-	o := obs.New(1 << 18) // ring retains the most recent 262144 events
+	o := obs.New(1 << 18) // 262144 events, spread over one lane per router
 
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
@@ -74,7 +74,7 @@ func main() {
 	if err := o.Tracer.WriteChromeTrace(f); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d events to trace.json (%d emitted, %d overwritten by the ring)\n",
+	fmt.Printf("wrote %d events to trace.json (%d emitted, %d overwritten by lane wrap)\n",
 		o.Tracer.Total()-o.Tracer.Dropped(), o.Tracer.Total(), o.Tracer.Dropped())
 	fmt.Println("open it in chrome://tracing or https://ui.perfetto.dev")
 }

@@ -18,8 +18,7 @@ import (
 // nocassert layer's crash path: the violation panics, the panic message
 // points at the captured dump, and the dump is non-empty and replayable.
 func TestAssertFailureCapturesFlightDump(t *testing.T) {
-	o := obs.New(1)
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0)
 	o.Flight = obs.NewFlightRecorder(16, 64)
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true

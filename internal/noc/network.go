@@ -456,9 +456,14 @@ func New(cfg Config, traffic Traffic) (*Network, error) {
 			r.SetRouteFn(n.baseRoute)
 		}
 	}
-	// The window ring rolls from the serial pre-phase, keeping the bucket
-	// index stable while compute-phase workers add samples.
+	// The tracer gets one lane per router, so compute-phase workers
+	// record without sharing a lane. The window ring rolls from the
+	// serial pre-phase, keeping the bucket index stable while
+	// compute-phase workers add samples.
 	if o := cfg.Router.Obs; o != nil {
+		if t := o.Tracer; t != nil {
+			t.Bind(nodes)
+		}
 		if w := o.Windows; w != nil {
 			n.AddHook(w.Roll)
 		}

@@ -409,6 +409,52 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// TestWrappedTraceWorkerInvariant pins the tracer's per-router lanes: a
+// bound tracer keeps each router's most recent events, so a trace that
+// wraps retains the same window, with the same drop count, at any
+// worker count — runCase can only compare traces that did not wrap.
+func TestWrappedTraceWorkerInvariant(t *testing.T) {
+	run := func(workers int) ([]obs.Event, uint64) {
+		o := obs.New(1 << 12)
+		rc := router.DefaultConfig()
+		rc.FaultTolerant = true
+		rc.Obs = o
+		src := traffic.NewSynthetic(64, 0.04, traffic.Uniform(64), traffic.Bimodal(1, 5, 0.6), 12)
+		n, err := noc.New(noc.Config{Width: 8, Height: 8, Router: rc, Warmup: 100, Workers: workers}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		for _, spec := range []string{"27:sa1:e", "36:xb:w"} {
+			id, site, err := fault.ParseInjection(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.ApplyNetwork(n, id, site, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Run(1500)
+		return o.Tracer.CanonicalEvents(), o.Tracer.Dropped()
+	}
+	ref, refDropped := run(1)
+	if refDropped == 0 {
+		t.Fatalf("trace did not wrap (%d events retained); shrink the capacity", len(ref))
+	}
+	got, gotDropped := run(4)
+	if gotDropped != refDropped {
+		t.Fatalf("dropped %d (workers=1) vs %d (workers=4)", refDropped, gotDropped)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("retained %d events (workers=1) vs %d (workers=4)", len(ref), len(got))
+	}
+	for i := range ref {
+		if ref[i] != got[i] {
+			t.Fatalf("event %d: %+v (workers=1) vs %+v (workers=4)", i, ref[i], got[i])
+		}
+	}
+}
+
 // TestConfigWorkersValidation is the Config.Workers table test: negative
 // values are rejected by New with a descriptive error; 0 defaults to
 // GOMAXPROCS; any request is clamped to the node count.

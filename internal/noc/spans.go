@@ -23,8 +23,9 @@ func (n *Network) NextHop(id, out int) (nextRouter, inPort int, ok bool) {
 
 // Spans reconstructs per-packet hop spans from the network's retained
 // trace window. It returns an empty set when the network runs without a
-// tracer. Call it after the simulation (or between steps) — the builder
-// reads a snapshot of the ring, so a live network is safe too.
+// tracer. Like every tracer read it is serial-phase only: call it after
+// the simulation, between steps or from a cycle hook, never while a
+// step is running on another goroutine.
 func (n *Network) Spans() obs.SpanSet {
 	o := n.Obs()
 	if o == nil || o.Tracer == nil {

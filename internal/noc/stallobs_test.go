@@ -222,8 +222,7 @@ func TestWindowRollTracksNetworkCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New(1)
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0)
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = true
 	rc.Obs = o

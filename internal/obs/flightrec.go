@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"gonoc/internal/sim"
 )
@@ -20,32 +19,13 @@ const (
 )
 
 // FlightRecorder is an always-on bounded record of the most recent
-// trace events, cheap enough to leave enabled on 64×64 runs: one
-// fixed-size event ring per node (plus one lane for network-global
-// events), written without locks.
-//
-// Lock-freedom leans on the network's phase discipline rather than
-// atomics: during the parallel compute phase the only events carrying a
-// node's id are emitted by the worker that owns that node, and every
-// other emitter (NI offer/eject, link drops, the fault layer, the
-// watchdog) runs in a serial phase. One lane therefore never has two
-// concurrent writers. The corollary: a FlightRecorder must not be
-// shared by concurrently stepping networks (unlike the mutex-guarded
-// Tracer) — give each simulation its own.
-//
-// Trigger and Dumps must also run from a serial phase (a cycle hook,
-// post-step code, or the nocassert failure path), where no writer is
-// active.
+// trace events, cheap enough to leave enabled on 64×64 runs: the same
+// per-node lane store as the Tracer (see lanes), sized per lane, plus
+// Trigger and Dumps. It records without locks under the network's phase
+// discipline, so it must not be shared by concurrently stepping
+// networks; Trigger, Dumps and Total are serial-phase only.
 type FlightRecorder struct {
-	nodes   int
-	perLane int
-
-	ring  []Event  // nodes+1 lanes of perLane slots
-	next  []int32  // per-lane write cursor
-	count []int32  // per-lane filled slots (≤ perLane)
-	total []uint64 // per-lane lifetime emit count
-
-	mu    sync.Mutex
+	lanes
 	dumps []Dump
 }
 
@@ -53,47 +33,16 @@ type FlightRecorder struct {
 // retaining the last perLane events per node. perLane <= 0 selects
 // DefaultFlightEvents.
 func NewFlightRecorder(nodes, perLane int) *FlightRecorder {
-	if nodes < 1 {
-		nodes = 1
-	}
+	nodes = max(nodes, 1)
 	if perLane <= 0 {
 		perLane = DefaultFlightEvents
 	}
-	lanes := nodes + 1
-	return &FlightRecorder{
-		nodes: nodes, perLane: perLane,
-		ring:  make([]Event, lanes*perLane),
-		next:  make([]int32, lanes),
-		count: make([]int32, lanes),
-		total: make([]uint64, lanes),
-	}
+	return &FlightRecorder{lanes: newLanes(make([]Event, (nodes+1)*perLane), nodes, perLane)}
 }
 
 // Record stores e in its router's lane, overwriting the oldest event
 // when full. It never allocates.
-func (f *FlightRecorder) Record(e Event) {
-	lane := int(e.Router)
-	if lane < 0 || lane >= f.nodes {
-		lane = f.nodes // network-global lane
-	}
-	i := f.next[lane]
-	f.ring[lane*f.perLane+int(i)] = e
-	f.next[lane] = (i + 1) % int32(f.perLane)
-	if f.count[lane] < int32(f.perLane) {
-		f.count[lane]++
-	}
-	f.total[lane]++
-}
-
-// Total returns how many events were recorded over the lifetime,
-// including overwritten ones. Serial-phase only, like Trigger.
-func (f *FlightRecorder) Total() uint64 {
-	var n uint64
-	for _, t := range f.total {
-		n += t
-	}
-	return n
-}
+func (f *FlightRecorder) Record(e Event) { f.record(e) }
 
 // Dump is one flight-recorder extraction: the events retained at
 // trigger time, in canonical order (obs.SortEvents), so a dump is
@@ -112,34 +61,16 @@ type Dump struct {
 // maxFlightDumps) and returns it. It must run from a serial phase —
 // no compute-phase writer may be active.
 func (f *FlightRecorder) Trigger(cy sim.Cycle, reason string) Dump {
-	var total int32
-	for _, c := range f.count {
-		total += c
-	}
-	d := Dump{Cycle: cy, Reason: reason, Events: make([]Event, 0, total)}
-	for lane := range f.count {
-		base, n := lane*f.perLane, int(f.count[lane])
-		start := 0
-		if n == f.perLane {
-			start = int(f.next[lane])
-		}
-		for i := 0; i < n; i++ {
-			d.Events = append(d.Events, f.ring[base+(start+i)%f.perLane])
-		}
-	}
+	d := Dump{Cycle: cy, Reason: reason, Events: f.retained()}
 	SortEvents(d.Events)
-	f.mu.Lock()
 	if len(f.dumps) < maxFlightDumps {
 		f.dumps = append(f.dumps, d)
 	}
-	f.mu.Unlock()
 	return d
 }
 
 // Dumps returns the retained trigger dumps in trigger order.
 func (f *FlightRecorder) Dumps() []Dump {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return append([]Dump(nil), f.dumps...)
 }
 

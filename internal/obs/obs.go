@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// of monotonic counters and gauges keyed by (router, port, VC, kind), and
-// a ring-buffered cycle-accurate event tracer with JSON Lines and Chrome
-// trace_event sinks.
+// of monotonic counters and gauges keyed by (router, port, VC, kind), a
+// cycle-accurate event tracer with JSON Lines and Chrome trace_event
+// sinks, and a flight recorder dumped when an anomaly trips.
 //
 // # Why it exists
 //
@@ -20,20 +20,25 @@
 // (bench_test.go keeps the comparison honest). When enabled, components
 // resolve their counter handles once at attach time (RouterObs, NodeObs);
 // per-event work is then a few predictable atomic adds plus, when tracing,
-// one ring-buffer store.
+// one lane store per event sink.
 //
 // # Data flow
 //
 //	core.Router ──RouterObs──▶ Metrics (counters/gauges)
-//	noc.Network/NI ──NodeObs──▶   │             │
-//	fault.Injector ──Observer──▶  │          Tracer (ring buffer)
-//	watchdog.Monitor ─Observer─▶  │             │
-//	                              ▼             ▼
-//	              noctool metrics table   trace.json (Chrome) / JSONL
+//	noc.Network/NI ──NodeObs──▶   │           │
+//	fault.Injector ──Observer──▶  │      Observer.emit
+//	watchdog.Monitor ─Observer─▶  │        │        │
+//	                              │     Tracer   FlightRecorder
+//	                              │    (per-node lanes, no lock)
+//	                              ▼        ▼        ▼
+//	        noctool metrics table   trace.json /   dumps on
+//	                                JSONL / spans  trigger
 //
-// The Tracer retains the most recent window of events (ring buffer), so
-// arbitrarily long campaigns stay bounded in memory while the tail — the
-// part that explains how the simulation ended — is always available.
+// Events have one store, per-node lanes written without locks (see
+// lanes); the Tracer and the FlightRecorder are both that store. Each
+// lane keeps its router's most recent events, so long campaigns stay
+// bounded in memory while the tail that explains how the simulation
+// ended is always available — the same tail at any worker count.
 package obs
 
 import "gonoc/internal/sim"
@@ -79,7 +84,8 @@ func (o *Observer) gauge(k Key) *Gauge {
 	return o.Metrics.Gauge(k)
 }
 
-// emit forwards an event to the tracer and flight recorder, if any.
+// emit records an event in the tracer and flight recorder, if any. It
+// takes no lock: both are lane stores (see lanes).
 func (o *Observer) emit(e Event) {
 	if o == nil {
 		return

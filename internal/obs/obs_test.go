@@ -125,6 +125,42 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
+// TestTracerBoundLanes pins the bound layout: capacity is spread over
+// one lane per router plus a network-global lane, a busy router wraps
+// only its own lane, and Events merges the lanes by (cycle, router) in
+// each lane's emission order.
+func TestTracerBoundLanes(t *testing.T) {
+	tr := NewTracer(9)
+	tr.Bind(2) // three lanes of three events
+	for i := 1; i <= 5; i++ {
+		tr.Emit(Event{Cycle: uint64ToCycle(i), Kind: EvXBTraverse, Router: 0})
+	}
+	tr.Emit(Event{Cycle: 2, Kind: EvXBTraverse, Router: 1})
+	tr.Emit(Event{Cycle: 2, Kind: EvRCCompute, Router: 1}) // emitted after XB
+	tr.Emit(Event{Cycle: 3, Kind: EvFaultInject, Router: -1})
+	tr.Bind(2) // same size: no-op
+	want := []Event{
+		{Cycle: 2, Kind: EvXBTraverse, Router: 1},
+		{Cycle: 2, Kind: EvRCCompute, Router: 1},
+		{Cycle: 3, Kind: EvFaultInject, Router: -1},
+		{Cycle: 3, Kind: EvXBTraverse, Router: 0},
+		{Cycle: 4, Kind: EvXBTraverse, Router: 0},
+		{Cycle: 5, Kind: EvXBTraverse, Router: 0},
+	}
+	got := tr.Events()
+	if len(got) != len(want) {
+		t.Fatalf("retained %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if tr.Total() != 8 || tr.Dropped() != 2 {
+		t.Fatalf("total/dropped = %d/%d, want 8/2", tr.Total(), tr.Dropped())
+	}
+}
+
 func TestTracerSetEnabled(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Emit(Event{Cycle: 1})

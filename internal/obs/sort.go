@@ -39,12 +39,12 @@ func SortEvents(evs []Event) {
 }
 
 // CanonicalEvents returns the tracer's retained events in canonical
-// order, for bit-exact comparison of traces across worker counts. The
-// comparison is only meaningful when the ring did not wrap (Dropped()
-// == 0): once events are overwritten, which ones survive depends on
-// emission order.
+// order, for bit-exact comparison of traces across worker counts. On a
+// bound tracer the comparison holds even after lanes wrap: which events
+// a lane keeps depends only on its router's own event sequence, which
+// is the same at any worker count.
 func (t *Tracer) CanonicalEvents() []Event {
-	evs := t.Events()
+	evs := t.retained()
 	SortEvents(evs)
 	return evs
 }

@@ -20,7 +20,7 @@ import (
 // downstream VC resolves which packet is which.
 //
 // Spans are derived data: they are only as complete as the trace window.
-// When the tracer's ring wrapped, chains whose head events were
+// When a tracer lane wrapped, chains whose head events were
 // overwritten are reported as orphans and chains still in flight at the
 // end of the window as incomplete.
 
@@ -133,10 +133,10 @@ type SpanSet struct {
 	// Incomplete counts chains still in flight when the window ended.
 	Incomplete int
 	// Orphans counts chains that began mid-flight — their earlier
-	// events were overwritten by ring wrap-around.
+	// events were overwritten by lane wrap-around.
 	Orphans int
 	// Dropped counts pipeline events that could not be attributed to
-	// any hop (also a ring-wrap artifact).
+	// any hop (also a lane-wrap artifact).
 	Dropped int
 }
 

@@ -2,10 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"gonoc/internal/sim"
 )
@@ -172,81 +173,72 @@ type Event struct {
 	Detail string
 }
 
-// Tracer is a fixed-capacity ring buffer of Events. When full, the
-// oldest events are overwritten, so a long campaign always retains the
-// most recent window — the part that explains the state the simulation
-// ended in. Emit is safe for concurrent use.
+// Tracer is a bounded, cycle-accurate event trace over the lane store
+// (see lanes for its lock-free phase discipline: everything but Emit is
+// serial-phase only). When a lane is full its oldest events are
+// overwritten, so a long campaign always retains each router's most
+// recent window — the part that explains the state the simulation ended
+// in. An unbound tracer is a single lane; noc.New binds it to its
+// network, giving each router a lane of its own.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	total   uint64
-	enabled bool
+	lanes
+	capacity int
+	enabled  bool
 }
 
-// NewTracer returns a tracer retaining the last capacity events
+// NewTracer returns an unbound tracer retaining the last capacity events
 // (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]Event, 0, capacity), enabled: true}
+	capacity = max(capacity, 1)
+	return &Tracer{lanes: newLanes(make([]Event, capacity), 0, capacity), capacity: capacity, enabled: true}
 }
 
-// Emit appends an event to the ring.
-func (t *Tracer) Emit(e Event) {
-	t.mu.Lock()
-	if !t.enabled {
-		t.mu.Unlock()
+// Bind spreads the tracer's capacity evenly over one lane per router of
+// a nodes-router network plus the network-global lane: each lane keeps
+// capacity/(nodes+1) events, at least one. noc.New calls it before the
+// first cycle; binding to a new size starts the trace afresh, and
+// binding again to the same size is a no-op.
+func (t *Tracer) Bind(nodes int) {
+	if nodes == t.nodes {
 		return
 	}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
+	perLane := max(t.capacity/(nodes+1), 1)
+	ring := t.ring
+	if need := (nodes + 1) * perLane; cap(ring) >= need {
+		ring = ring[:need]
 	} else {
-		t.ring[t.next] = e
+		ring = make([]Event, need)
 	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.total++
-	t.mu.Unlock()
+	t.lanes = newLanes(ring, nodes, perLane)
+}
+
+// Emit records an event unless capture is paused.
+func (t *Tracer) Emit(e Event) {
+	if t.enabled {
+		t.record(e)
+	}
 }
 
 // SetEnabled pauses (false) or resumes (true) event capture, so a warmup
 // window can be excluded from a trace.
-func (t *Tracer) SetEnabled(on bool) {
-	t.mu.Lock()
-	t.enabled = on
-	t.mu.Unlock()
-}
+func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
 
-// Total returns how many events were emitted over the tracer's lifetime,
-// including any that have been overwritten.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(len(t.ring))
-}
-
-// Events returns the retained events in emission order.
+// Events returns the retained events ordered by (cycle, router), each
+// lane keeping its emission order — the order BuildSpans relies on, and
+// the same at any worker count. Every emitter stamps the current cycle,
+// so a lane is already cycle-ordered and the stable sort is a merge of
+// the lanes; an unbound tracer returns its single lane as emitted.
 func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
+	evs := t.retained()
+	if len(t.count) > 1 {
+		slices.SortStableFunc(evs, func(a, b Event) int {
+			if c := cmp.Compare(a.Cycle, b.Cycle); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Router, b.Router)
+		})
 	}
-	out = append(out, t.ring[:t.next]...)
-	if len(t.ring) < cap(t.ring) {
-		// Ring not yet full: t.ring[:t.next] is everything.
-		out = out[:len(t.ring)]
-	}
-	return out
+	return evs
 }
 
 // jsonlEvent is the JSON Lines wire form of an Event. Port and VC are

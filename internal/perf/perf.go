@@ -152,8 +152,7 @@ func Measure(c Case) (Point, error) {
 	switch c.ObsMode {
 	case ObsOff:
 	case ObsOn, ObsFlight:
-		o := obs.New(1)
-		o.Tracer.SetEnabled(false)
+		o := obs.New(0)
 		o.Windows = obs.NewWindows(nodes, rc.Ports, rc.VCs, obs.DefaultBucketCycles, obs.DefaultWindowBucket)
 		if c.ObsMode == ObsFlight {
 			o.Flight = obs.NewFlightRecorder(nodes, obs.DefaultFlightEvents)

@@ -137,8 +137,7 @@ func TestSuspectString(t *testing.T) {
 func TestTripTriggersFlightDump(t *testing.T) {
 	// A watchdog trip is an anomaly: it must capture a non-empty,
 	// replayable flight-recorder dump naming the suspect in its reason.
-	o := obs.New(1)
-	o.Tracer.SetEnabled(false)
+	o := obs.New(0)
 	o.Flight = obs.NewFlightRecorder(16, 64)
 	cfg := protCfg(true)
 	cfg.Router.Obs = o
