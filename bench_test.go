@@ -156,12 +156,12 @@ func BenchmarkFig8_PARSEC(b *testing.B) { figureBench(b, experiments.Figure8) }
 
 // --- Microbenchmarks of the simulator core ---
 
-func benchNetwork(b *testing.B, ft bool, faults bool) {
+func benchNetwork(b *testing.B, ft bool, faults bool, rate float64) {
 	rc := router.DefaultConfig()
 	rc.FaultTolerant = ft
 	// Workers pinned to 1: these benchmarks track the serial per-step cost
 	// across revisions; parallel scaling is BenchmarkStep's job.
-	src := traffic.NewSynthetic(64, 0.02, traffic.Uniform(64), traffic.Bimodal(1, 5, 0.6), 1)
+	src := traffic.NewSynthetic(64, rate, traffic.Uniform(64), traffic.Bimodal(1, 5, 0.6), 1)
 	n := noc.MustNew(noc.Config{Width: 8, Height: 8, Router: rc, Warmup: 0, Workers: 1}, src)
 	defer n.Close()
 	if faults {
@@ -175,9 +175,14 @@ func benchNetwork(b *testing.B, ft bool, faults bool) {
 	b.ReportMetric(float64(n.Stats().Ejected()), "pkts_delivered")
 }
 
-func BenchmarkNetworkStep_Baseline8x8(b *testing.B)        { benchNetwork(b, false, false) }
-func BenchmarkNetworkStep_Protected8x8(b *testing.B)       { benchNetwork(b, true, false) }
-func BenchmarkNetworkStep_ProtectedFaulty8x8(b *testing.B) { benchNetwork(b, true, true) }
+func BenchmarkNetworkStep_Baseline8x8(b *testing.B)        { benchNetwork(b, false, false, 0.02) }
+func BenchmarkNetworkStep_Protected8x8(b *testing.B)       { benchNetwork(b, true, false, 0.02) }
+func BenchmarkNetworkStep_ProtectedFaulty8x8(b *testing.B) { benchNetwork(b, true, true, 0.02) }
+
+// BenchmarkNetworkStep_Idle8x8 steps a protected 8×8 mesh that is
+// offered no traffic: every node takes the compute phase's idle fast
+// path, so this is the floor of the per-step cost.
+func BenchmarkNetworkStep_Idle8x8(b *testing.B) { benchNetwork(b, true, false, 0) }
 
 // benchNetworkObs mirrors benchNetwork with the internal/obs layer
 // attached, so comparing against BenchmarkNetworkStep_Protected8x8 (obs

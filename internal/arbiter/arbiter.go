@@ -54,14 +54,32 @@ func (a *RoundRobin) Grant(requests []bool) (winner int, ok bool) {
 	if a.faulty {
 		return -1, false
 	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.prio + i) % a.n
-		if requests[idx] {
-			a.prio = (idx + 1) % a.n
-			return idx, true
+	w := a.scan(requests)
+	if w < 0 {
+		return -1, false
+	}
+	a.prio = w + 1
+	if a.prio == a.n {
+		a.prio = 0
+	}
+	return w, true
+}
+
+// scan returns the first requesting input at or after prio, wrapping
+// around, or -1 when nothing requests. The two half-scans replace a
+// (prio+i)%n index: no division on the allocator's inner loop.
+func (a *RoundRobin) scan(requests []bool) int {
+	for i := a.prio; i < a.n; i++ {
+		if requests[i] {
+			return i
 		}
 	}
-	return -1, false
+	for i := 0; i < a.prio; i++ {
+		if requests[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // Prio returns the index the next Grant scans first. Together with
@@ -87,11 +105,8 @@ func (a *RoundRobin) Peek(requests []bool) (winner int, ok bool) {
 	if a.faulty {
 		return -1, false
 	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.prio + i) % a.n
-		if requests[idx] {
-			return idx, true
-		}
+	if w := a.scan(requests); w >= 0 {
+		return w, true
 	}
 	return -1, false
 }

@@ -297,3 +297,42 @@ func TestNewMatrixPanics(t *testing.T) {
 	}()
 	NewMatrix(0)
 }
+
+// refGrant is the reference round-robin scan: the first requester at
+// (prio+i)%n, with the priority moving just past it.
+func refGrant(n, prio int, req []bool) (winner, nextPrio int, ok bool) {
+	for i := 0; i < n; i++ {
+		idx := (prio + i) % n
+		if req[idx] {
+			return idx, (idx + 1) % n, true
+		}
+	}
+	return -1, prio, false
+}
+
+// TestRoundRobinMatchesModuloScan checks Grant and Peek against the
+// reference modulo scan exhaustively: every width 1..8, every priority
+// and every request vector, including the priority each Grant leaves.
+func TestRoundRobinMatchesModuloScan(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		req := make([]bool, n)
+		for prio := 0; prio < n; prio++ {
+			for mask := 0; mask < 1<<n; mask++ {
+				for i := range req {
+					req[i] = mask&(1<<i) != 0
+				}
+				wantW, wantPrio, wantOK := refGrant(n, prio, req)
+				a := NewRoundRobin(n)
+				a.SetPrio(prio)
+				if w, ok := a.Peek(req); w != wantW || ok != wantOK || a.Prio() != prio {
+					t.Fatalf("n=%d prio=%d req=%v: Peek = (%d, %v) prio %d, want (%d, %v) prio %d",
+						n, prio, req, w, ok, a.Prio(), wantW, wantOK, prio)
+				}
+				if w, ok := a.Grant(req); w != wantW || ok != wantOK || a.Prio() != wantPrio {
+					t.Fatalf("n=%d prio=%d req=%v: Grant = (%d, %v) prio %d, want (%d, %v) prio %d",
+						n, prio, req, w, ok, a.Prio(), wantW, wantOK, wantPrio)
+				}
+			}
+		}
+	}
+}

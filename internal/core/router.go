@@ -159,8 +159,9 @@ type Router struct {
 	saAdoptAge []int
 
 	// va2req collects stage-2 VA requests: va2req[outPort][dvc] lists
-	// flat input-VC indices (p*V + v). Reused across cycles.
-	//noc:derived per-cycle scratch, rebuilt from empty every Tick
+	// flat input-VC indices (p*V + v). Reused across cycles, and empty
+	// between them (vaStage's stage 2 empties what stage 1 filed).
+	//noc:derived per-cycle scratch, empty at the step boundary
 	va2req [][][]int
 	//noc:derived per-cycle scratch, rebuilt from empty every Tick
 	reqBuf []bool // scratch request vector, len = Ports*VCs
@@ -341,6 +342,31 @@ func (r *Router) Tick(cy sim.Cycle) {
 	r.rcStage(cy)
 	r.stallScan(cy)
 }
+
+// Idle reports whether a Tick would leave the router exactly as it is:
+// its input latches are empty, no switch grant is pending, no VC buffers
+// a flit, no input port is in SA stage-1 bypass operation and no port
+// holds a bypass adoption. An empty router still holds two time-driven
+// registers, which is why the last two conditions are there: a bypass
+// port's default winner advances on every grant call, and a held
+// adoption ages every cycle. Everything else in the pipeline acts only
+// on buffered flits or latched inputs, so with Idle true the network may
+// skip the Tick without changing the simulation.
+func (r *Router) Idle() bool {
+	if len(r.inFlits) != 0 || len(r.inCredits) != 0 || len(r.grants) != 0 {
+		return false
+	}
+	for p, ip := range r.in {
+		if ip.Buffered() != 0 || r.saAdopted[p] >= 0 || r.sa.Stage1(p).InBypass() {
+			return false
+		}
+	}
+	return true
+}
+
+// BufferedFlits returns the number of flits buffered across input port
+// p's VCs.
+func (r *Router) BufferedFlits(p topology.Port) int { return r.in[p].Buffered() }
 
 // String implements fmt.Stringer.
 func (r *Router) String() string {

@@ -12,8 +12,10 @@
 package noc
 
 import (
+	"bytes"
 	"fmt"
 
+	"gonoc/internal/sim"
 	"gonoc/internal/topology"
 	"gonoc/internal/vc"
 )
@@ -29,7 +31,9 @@ const assertEnabled = true
 //   - the global credit-conservation equation (CheckInvariants): for every
 //     inter-router link and VC, credits + occupancy + wire flits + wire
 //     credits + pending grants = Depth;
-//   - every virtual channel's state-machine consistency (checkVCState).
+//   - every virtual channel's state-machine consistency (checkVCState);
+//   - every input port's buffered-flit count (which Router.Idle reads)
+//     against the sum of its VCs' buffer lengths.
 //
 // A violation panics with the cycle and location: these are simulator
 // bugs, never workload conditions, so failing loudly at the first bad
@@ -41,14 +45,42 @@ func (n *Network) assertPostStep() {
 	for id, r := range n.routers {
 		cfg := r.Config()
 		for p := 0; p < cfg.Ports; p++ {
+			occ := 0
 			for v := 0; v < cfg.VCs; v++ {
 				q := r.InputVC(topology.Port(p), v)
 				if err := checkVCState(q); err != nil {
 					n.assertFail(fmt.Sprintf("nocassert: cycle %d: router %d port %v vc%d: %v",
 						n.cycle, id, topology.Port(p), v, err))
 				}
+				occ += q.Len()
+			}
+			if got := r.BufferedFlits(topology.Port(p)); got != occ {
+				n.assertFail(fmt.Sprintf("nocassert: cycle %d: router %d port %v: buffered-flit count %d, VCs hold %d",
+					n.cycle, id, topology.Port(p), got, occ))
 			}
 		}
+	}
+}
+
+// assertIdleTick backs the compute phase's idle fast path: for node id,
+// which computeNode is about to skip at cycle c, it runs the full NI and
+// router tick the skip stands in for and panics unless the tick was an
+// identity — same canonical router and NI state, same router counters,
+// nothing emitted. It runs inside the compute phase, possibly on a
+// worker goroutine, so it panics directly instead of going through
+// assertFail's serial-phase flight dump.
+func (n *Network) assertIdleTick(id int, c sim.Cycle) {
+	r := n.routers[id]
+	rBefore := r.AppendCanonical(nil)
+	niBefore := n.appendCanonicalNI(nil, id)
+	ctr := r.Counters
+	n.nis[id].tick(c)
+	r.Tick(c)
+	emitted := len(r.TakeOutFlits()) + len(r.TakeOutCredits()) + len(r.TakeDropped())
+	if emitted != 0 || r.Counters != ctr ||
+		!bytes.Equal(rBefore, r.AppendCanonical(nil)) || !bytes.Equal(niBefore, n.appendCanonicalNI(nil, id)) {
+		panic(fmt.Sprintf("nocassert: cycle %d: node %d was skipped as idle, but a full tick changed it (%d outputs emitted)",
+			c, id, emitted))
 	}
 }
 

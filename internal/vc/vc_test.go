@@ -176,6 +176,32 @@ func TestTransferMovesFlitsAndState(t *testing.T) {
 	}
 }
 
+// TestBufferedTracksEveryFlitMove checks the port's buffered-flit count
+// through each way flits enter, leave or move between its VCs.
+func TestBufferedTracksEveryFlitMove(t *testing.T) {
+	ip := NewInputPort(topology.East, 4, 4)
+	want := func(n int) {
+		t.Helper()
+		if got := ip.Buffered(); got != n {
+			t.Fatalf("Buffered() = %d, want %d", got, n)
+		}
+	}
+	fs := mkFlits(3)
+	for _, f := range fs {
+		ip.VCs[1].Push(f)
+	}
+	ip.VCs[3].Push(mkFlits(1)[0])
+	want(4)
+	ip.VCs[1].Pop()
+	want(3)
+	ip.Transfer(1, 2)
+	want(3)
+	ip.VCs[0].SetFlits(mkFlits(4))
+	want(7)
+	ip.VCs[2].SetFlits(nil)
+	want(5)
+}
+
 func TestTransferIntoBusyPanics(t *testing.T) {
 	ip := NewInputPort(topology.East, 2, 4)
 	ip.VCs[0].Push(mkFlits(1)[0])
