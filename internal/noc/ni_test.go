@@ -53,8 +53,8 @@ func TestNIAllocatesVCAndStreams(t *testing.T) {
 	if p.InjectedAt != 0 {
 		t.Fatalf("InjectedAt = %d", p.InjectedAt)
 	}
-	if ni.Sending() {
-		t.Fatal("still sending after last flit")
+	if !ni.idle() {
+		t.Fatal("NI not idle after the last flit")
 	}
 }
 
